@@ -20,9 +20,8 @@
 //! the workspace's double-run gate.
 //!
 //! The accept loop is single-threaded: one connection is served to
-//! completion before the next is accepted. That is not a scalability
-//! sin here — the service itself is single-process by design (the
-//! shards partition state, not OS threads), and a serial accept loop is
+//! completion before the next is accepted. The service behind it holds
+//! its state in `RefCell`s on one thread, and a serial accept loop is
 //! what makes `cmp`-based byte-identity CI gates meaningful.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -132,32 +131,40 @@ enum ReadOutcome {
 }
 
 /// Reads one request head + body. Bounded: never reads more than
-/// `MAX_HEAD` + `MAX_BODY` bytes per request.
+/// `MAX_HEAD` + `MAX_BODY` bytes per request — each head line is read
+/// through a [`Read::take`] of the head budget still unspent, so a
+/// line with no newline stops at the budget instead of growing.
 fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<ReadOutcome> {
     let mut head = String::new();
-    let mut first = true;
+    let mut consumed = 0usize;
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(if first && head.is_empty() {
+        let mut line = Vec::new();
+        let budget = (MAX_HEAD - consumed) as u64;
+        consumed += reader.by_ref().take(budget).read_until(b'\n', &mut line)?;
+        if !line.ends_with(b"\n") {
+            // A spent budget reads nothing more, so a head that reached
+            // `MAX_HEAD` without its closing blank line lands here too.
+            if consumed == MAX_HEAD {
+                return Ok(ReadOutcome::Reject(431, "request head too large"));
+            }
+            // End of stream before the blank line closing the head.
+            return Ok(if head.is_empty() && line.trim_ascii().is_empty() {
                 ReadOutcome::Closed
             } else {
                 ReadOutcome::Reject(400, "truncated request")
             });
         }
-        if first && line.trim_end().is_empty() {
-            // Tolerate leading blank lines between pipelined requests.
-            continue;
-        }
-        first = false;
+        let Ok(line) = std::str::from_utf8(&line) else {
+            return Ok(ReadOutcome::Reject(400, "request head is not UTF-8"));
+        };
         if line.trim_end().is_empty() {
+            if head.is_empty() {
+                // Tolerate leading blank lines between pipelined requests.
+                continue;
+            }
             break;
         }
-        head.push_str(&line);
-        if head.len() > MAX_HEAD {
-            return Ok(ReadOutcome::Reject(431, "request head too large"));
-        }
+        head.push_str(line);
     }
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or("");
@@ -420,17 +427,56 @@ mod tests {
         server.join().unwrap();
     }
 
-    #[test]
-    fn client_disconnect_mid_request_does_not_kill_the_server() {
+    /// A server answering `ok` on every path but `/shutdown`.
+    fn ok_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             serve_http(&listener, |req| match req.path.as_str() {
                 "/shutdown" => (HttpResponse::ok("text/plain", Vec::new()), After::Shutdown),
-                _ => (HttpResponse::ok("text/plain", b"ok\n".to_vec()), After::Continue),
+                _ => (
+                    HttpResponse::ok("text/plain", b"ok\n".to_vec()),
+                    After::Continue,
+                ),
             })
             .unwrap();
         });
+        (addr, server)
+    }
+
+    /// Sends `bytes` on a fresh connection (a write error is tolerated:
+    /// the server may close before an oversized request is fully sent)
+    /// and returns the status of the response.
+    fn status_for(addr: std::net::SocketAddr, bytes: &[u8]) -> u16 {
+        let client = TcpStream::connect(addr).unwrap();
+        let mut w = client.try_clone().unwrap();
+        let mut r = BufReader::new(client);
+        let _ = w.write_all(bytes);
+        read_response(&mut r).0
+    }
+
+    /// Asserts the server still answers a well-behaved client, then
+    /// shuts it down and joins it.
+    fn still_serves_then_shutdown(addr: std::net::SocketAddr, server: std::thread::JoinHandle<()>) {
+        let client = TcpStream::connect(addr).unwrap();
+        let mut w = client.try_clone().unwrap();
+        let mut r = BufReader::new(client);
+        w.write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let (status, _, body) = read_response(&mut r);
+        assert_eq!(status, 200);
+        assert_eq!(body, b"ok\n");
+        drop(w);
+        drop(r);
+        assert_eq!(
+            status_for(addr, b"POST /shutdown HTTP/1.1\r\nHost: t\r\n\r\n"),
+            200
+        );
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn client_disconnect_mid_request_does_not_kill_the_server() {
+        let (addr, server) = ok_server();
 
         // Half a request line, then hang up.
         {
@@ -444,23 +490,27 @@ mod tests {
                 .unwrap();
         }
 
-        // The server must still answer a well-behaved client.
-        let client = TcpStream::connect(addr).unwrap();
-        let mut w = client.try_clone().unwrap();
-        let mut r = BufReader::new(client);
-        w.write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let (status, _, body) = read_response(&mut r);
-        assert_eq!(status, 200);
-        assert_eq!(body, b"ok\n");
-        drop(w);
-        drop(r);
+        still_serves_then_shutdown(addr, server);
+    }
 
-        let client2 = TcpStream::connect(addr).unwrap();
-        let mut w2 = client2.try_clone().unwrap();
-        let mut r2 = BufReader::new(client2);
-        w2.write_all(b"POST /shutdown HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let (status, _, _) = read_response(&mut r2);
-        assert_eq!(status, 200);
-        server.join().unwrap();
+    #[test]
+    fn head_line_without_newline_stops_at_the_head_budget() {
+        let (addr, server) = ok_server();
+        // 128 KiB with no newline: twice the head budget. The server
+        // must answer 431 once the budget is spent, not buffer the line.
+        let mut flood = b"GET /".to_vec();
+        flood.resize(128 * 1024, b'a');
+        assert_eq!(status_for(addr, &flood), 431);
+        still_serves_then_shutdown(addr, server);
+    }
+
+    #[test]
+    fn non_utf8_header_answers_400() {
+        let (addr, server) = ok_server();
+        assert_eq!(
+            status_for(addr, b"GET / HTTP/1.1\r\nX-Bad: \xff\r\n\r\n"),
+            400
+        );
+        still_serves_then_shutdown(addr, server);
     }
 }

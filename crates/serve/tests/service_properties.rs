@@ -9,7 +9,7 @@
 //! parallelism requirement) while staying deterministic.
 
 use pvc_core::Json;
-use pvc_serve::{Atom, Executor, Request, ServeConfig, Service};
+use pvc_serve::{fnv1a64, Atom, Executor, Request, ServeConfig, Service};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn pin_threads() {
@@ -118,6 +118,25 @@ fn cached_response_is_byte_identical_to_recomputed() {
     // A fresh service recomputes the same bytes from scratch.
     let fresh = service(ServeConfig::default()).handle_lines(&[&line]).remove(0);
     assert_eq!(cold.canonical(), fresh.canonical());
+
+    // A mixed batch — overlapping sweeps (atom coalescing), duplicates
+    // (single-flight), plain items and a parse failure — replays to the
+    // same bytes once every entry is warm.
+    let mixed = [
+        r#"{"kind":"sweep","ids":[1,2,3,4,5]}"#,
+        r#"{"kind":"item","n":3}"#,
+        r#"{"kind":"sweep","ids":[4,5,6,7]}"#,
+        r#"{"kind":"item","n":3}"#,
+        "definitely not json",
+        r#"{"kind":"sweep","ids":[1,2,3,4,5]}"#,
+        r#"{"kind":"item","n":11}"#,
+    ];
+    let s = service(ServeConfig::default());
+    let bytes = |r: Vec<Json>| r.iter().map(Json::canonical).collect::<Vec<_>>();
+    let cold = bytes(s.handle_lines(&mixed));
+    let warm = bytes(s.handle_lines(&mixed));
+    assert_eq!(cold, warm, "warm replay of the mixed batch must keep its bytes");
+    assert_eq!(s.metrics().counter("serve.cache.hit"), 6, "every parsed input warm");
 }
 
 #[test]
@@ -265,4 +284,24 @@ fn envelope_echoes_canonical_request_and_key() {
     let req = Request::parse(r#"{"kind":"item","n":9}"#).unwrap();
     assert_eq!(r.get("key").and_then(Json::as_str), Some(req.key_hex().as_str()));
     assert_eq!(r.get("request"), Some(req.canon()));
+    // The key is the FNV-1a content address of the canonical text —
+    // the one vocabulary the cache and the disk store share.
+    assert_eq!(req.key(), fnv1a64(req.text().as_bytes()));
+}
+
+#[test]
+fn shutdown_kind_latches_and_keeps_serving() {
+    pin_threads();
+    let s = service(ServeConfig::default());
+    assert!(!s.shutdown_requested());
+    let r = s.handle_lines(&[r#"{"kind":"shutdown"}"#]).remove(0);
+    assert_eq!(
+        r.get("result").and_then(|b| b.get("shutting_down")),
+        Some(&Json::Bool(true))
+    );
+    assert!(s.shutdown_requested(), "flag latches");
+    assert_eq!(s.metrics().counter("serve.shutdown"), 1);
+    // Still serves the rest of the drain.
+    let r = s.handle_lines(&[&item(1)]).remove(0);
+    assert!(r.get("result").is_some());
 }
