@@ -90,7 +90,7 @@ run cargo run --offline --release -p pvc-report --bin reproduce \
 test -s "$serve_dir/run-a.out"
 run cmp "$serve_dir/run-a.out" "$serve_dir/run-b.out"
 
-# 9. Bench smoke: the serving bench runs end to end at minimal sample
+# 9. Bench smoke: the serving and figures benches run end to end at minimal sample
 #    count and writes a trajectory file the workspace's own JSON parser
 #    accepts (write_json self-validates by round-tripping through
 #    pvc_core::json before writing; an unparseable file never lands).
@@ -101,6 +101,11 @@ run grep -q '"schema": "pvc-bench/v1"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/table2_cold_miss"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/warm_from_disk"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/allocate_1k_flows"' "$serve_dir/BENCH_serve.json"
+# The figures bench, whose fig1_lats group times the cache simulator
+# and the pointer-chase ring behind Figure 1.
+run env PVC_BENCH_SAMPLES=2 cargo bench --offline -p pvc-bench --bench figures \
+  -- --json "$serve_dir/BENCH_figures.json" > /dev/null
+run grep -q '"name": "fig1_lats/' "$serve_dir/BENCH_figures.json"
 
 # 10. Chaos lab: the property suite proves fault overlays never improve
 #     a figure of merit (direction-aware, composition included), and the

@@ -8,16 +8,19 @@
 use pvc_arch::{CacheLevel, Partition};
 
 /// One set-associative cache with true-LRU replacement.
+///
+/// All sets live in one flat tag array. Each set is a contiguous
+/// `assoc`-long slice kept in MRU→LRU order, so a hit rotates the hit
+/// way to the front and a miss rotates the LRU way out of the back.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
-    line_bytes: u64,
-    sets: u64,
+    line_shift: u32,
+    set_mask: u64,
+    set_shift: u32,
     assoc: usize,
-    /// `tags[set * assoc + way]`; `u64::MAX` marks an empty way.
+    /// `tags[set * assoc..][..assoc]` holds one set, MRU first;
+    /// `u64::MAX` marks an empty way.
     tags: Vec<u64>,
-    /// LRU ordering per set: `order[set]` lists way indices from MRU to
-    /// LRU.
-    order: Vec<Vec<u8>>,
     hits: u64,
     misses: u64,
 }
@@ -28,20 +31,24 @@ impl CacheSim {
     /// of two (hardware indexes with address bits).
     ///
     /// # Panics
-    /// Panics if the geometry is degenerate (zero lines or ways).
+    /// Panics if the geometry is degenerate (zero lines or ways) or
+    /// `line_bytes` is not a power of two.
     pub fn new(size_bytes: u64, line_bytes: u32, associativity: u32) -> Self {
         assert!(line_bytes > 0 && associativity > 0 && size_bytes > 0);
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let raw_sets = size_bytes / (line_bytes as u64 * associativity as u64);
         assert!(raw_sets > 0, "cache smaller than one set");
-        let sets = 1u64 << (63 - raw_sets.leading_zeros());
+        let set_shift = 63 - raw_sets.leading_zeros();
         let assoc = associativity as usize;
-        assert!(assoc <= u8::MAX as usize, "associativity too large");
         CacheSim {
-            line_bytes: line_bytes as u64,
-            sets,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: (1u64 << set_shift) - 1,
+            set_shift,
             assoc,
-            tags: vec![u64::MAX; (sets as usize) * assoc],
-            order: vec![(0..assoc as u8).collect(); sets as usize],
+            tags: vec![u64::MAX; assoc << set_shift],
             hits: 0,
             misses: 0,
         }
@@ -50,34 +57,23 @@ impl CacheSim {
     /// Effective capacity in bytes after power-of-two rounding of the
     /// set count.
     pub fn capacity(&self) -> u64 {
-        self.sets * self.assoc as u64 * self.line_bytes
+        (self.tags.len() as u64) << self.line_shift
     }
 
     /// Accesses the line containing `addr`; returns true on hit. Misses
     /// fill the line (allocate-on-miss) evicting the LRU way.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
-        let set = (line % self.sets) as usize;
-        let tag = line / self.sets;
-        let base = set * self.assoc;
-        let ways = &mut self.tags[base..base + self.assoc];
-        let order = &mut self.order[set];
-
-        if let Some(way) = ways.iter().position(|&t| t == tag) {
-            let pos = order
-                .iter()
-                .position(|&w| w as usize == way)
-                .expect("way in LRU order");
-            let w = order.remove(pos);
-            order.insert(0, w);
+        let line = addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
+        let ways = &mut self.tags[set * self.assoc..][..self.assoc];
+        if let Some(p) = ways.iter().position(|&t| t == tag) {
+            ways[..=p].rotate_right(1);
             self.hits += 1;
             true
         } else {
-            let victim = *order.last().expect("non-empty LRU order");
-            ways[victim as usize] = tag;
-            let pos = order.len() - 1;
-            let w = order.remove(pos);
-            order.insert(0, w);
+            ways.rotate_right(1);
+            ways[0] = tag;
             self.misses += 1;
             false
         }
@@ -229,6 +225,12 @@ mod tests {
         // 192 MiB, 64 B lines, 16-way => raw sets = 196608 -> 131072.
         let c = CacheSim::new(192 * 1024 * 1024, 64, 16);
         assert_eq!(c.capacity(), 128 * 1024 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_line_is_rejected() {
+        let _ = CacheSim::new(3 * 1024, 48, 4);
     }
 
     #[test]

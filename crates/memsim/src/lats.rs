@@ -50,6 +50,42 @@ pub struct LatencyPoint {
     pub nanos: f64,
 }
 
+impl LatencyPoint {
+    /// The point for a chase of `footprint_bytes` that averaged `cycles`
+    /// on `gpu`, converted to nanoseconds at the device's max clock.
+    pub fn on(gpu: &GpuModel, footprint_bytes: u64, cycles: f64) -> Self {
+        LatencyPoint {
+            footprint_bytes,
+            cycles,
+            nanos: cycles / gpu.clock.max_hz() * 1e9,
+        }
+    }
+}
+
+/// The footprints a sweep visits: `min_bytes` growing by
+/// `2^(1/points_per_octave)` while it stays at or below `max_bytes`.
+///
+/// # Panics
+/// Panics if `min_bytes`, `points_per_octave` or `steps` is zero. A zero
+/// `min_bytes` never grows, so the sweep would never end; a zero
+/// `points_per_octave` has no step; zero `steps` has no mean latency.
+pub fn footprints(cfg: &LatsConfig) -> Vec<u64> {
+    assert!(cfg.min_bytes > 0, "LatsConfig::min_bytes must be positive");
+    assert!(
+        cfg.points_per_octave > 0,
+        "LatsConfig::points_per_octave must be positive"
+    );
+    assert!(cfg.steps > 0, "LatsConfig::steps must be positive");
+    let step = 2f64.powf(1.0 / cfg.points_per_octave as f64);
+    let mut out = Vec::new();
+    let mut footprint = cfg.min_bytes as f64;
+    while footprint <= cfg.max_bytes as f64 {
+        out.push(footprint as u64);
+        footprint *= step;
+    }
+    out
+}
+
 /// Runs the pointer-chase sweep on one partition of `gpu`.
 ///
 /// # Example
@@ -68,29 +104,40 @@ pub struct LatencyPoint {
 /// pseudo-random permutation of line-aligned slots (seeded by the
 /// footprint), matching the original `lats`' randomized ring that defeats
 /// hardware prefetch.
+///
+/// # Panics
+/// Panics on a degenerate `cfg` (see [`footprints`]).
 pub fn latency_profile(gpu: &GpuModel, cfg: &LatsConfig) -> Vec<LatencyPoint> {
-    let mut out = Vec::new();
-    let clock_hz = gpu.clock.max_hz();
-    let mut footprint = cfg.min_bytes as f64;
-    let step = 2f64.powf(1.0 / cfg.points_per_octave as f64);
-    while footprint <= cfg.max_bytes as f64 {
-        let bytes = footprint as u64;
-        let cycles = chase(gpu, bytes, cfg.steps);
-        out.push(LatencyPoint {
-            footprint_bytes: bytes,
-            cycles,
-            nanos: cycles / clock_hz * 1e9,
-        });
-        footprint *= step;
-    }
-    out
+    footprints(cfg)
+        .into_iter()
+        .map(|bytes| LatencyPoint::on(gpu, bytes, chase(gpu, bytes, cfg.steps)))
+        .collect()
 }
 
 /// Mean per-access latency (cycles) chasing a ring of `footprint_bytes`.
+///
+/// # Panics
+/// Panics if `steps` is zero.
 pub fn chase(gpu: &GpuModel, footprint_bytes: u64, steps: u64) -> f64 {
+    assert!(steps > 0, "a chase needs at least one step");
     let line = gpu.partition.caches.first().map_or(64, |c| c.line_bytes) as u64;
     let slots = (footprint_bytes / line).max(1);
-    let ring = permutation_ring(slots);
+    // Following the ring from slot 0 visits the cyclic order starting
+    // just after slot 0's position.
+    let order = ring_order(slots);
+    let start = (order
+        .iter()
+        .position(|&s| s == 0)
+        .expect("slot 0 is in the ring")
+        + 1)
+        % order.len();
+    let walk = || {
+        order[start..]
+            .iter()
+            .chain(&order[..start])
+            .cycle()
+            .map(|&s| s as u64 * line)
+    };
 
     let mut h = Hierarchy::for_partition(&gpu.partition);
     // Warm-up: one full traversal fills whatever fits. For footprints far
@@ -105,28 +152,40 @@ pub fn chase(gpu: &GpuModel, footprint_bytes: u64, steps: u64) -> f64 {
         .max()
         .unwrap_or(0);
     let warmup = slots.min(outer_lines.saturating_mul(3).max(1 << 20));
-    let mut idx = 0u64;
-    for _ in 0..warmup {
-        let _ = h.access(ring[idx as usize] * line);
-        idx = ring[idx as usize];
+    for addr in walk().take(warmup as usize) {
+        let _ = h.access(addr);
     }
-    // Measured phase.
-    let mut total = 0.0;
-    let mut idx = 0u64;
+    // Measured phase, restarting from slot 0.
     let measured = steps.min(slots.saturating_mul(4)).max(slots.min(steps));
-    for _ in 0..measured {
-        total += h.access(ring[idx as usize] * line);
-        idx = ring[idx as usize];
+    let mut total = 0.0;
+    for addr in walk().take(measured as usize) {
+        total += h.access(addr);
     }
     total / measured as f64
 }
 
-/// A deterministic pseudo-random single-cycle permutation of
-/// `0..slots` built by Sattolo's algorithm with an xorshift generator.
-/// Single-cycle guarantees the chase visits every slot.
-fn permutation_ring(slots: u64) -> Vec<u64> {
-    let n = slots as usize;
-    let mut items: Vec<u64> = (0..slots).collect();
+/// True when [`chase`] returns the same cycles on `a` and `b` for every
+/// footprint and step count: a chase reads only the partition's cache
+/// levels and its memory latency.
+pub fn same_chase(a: &GpuModel, b: &GpuModel) -> bool {
+    a.partition.caches == b.partition.caches
+        && a.partition.memory.latency_cycles == b.partition.memory.latency_cycles
+}
+
+/// A deterministic pseudo-random cyclic ordering of `0..slots`: the ring
+/// visits `order[k]` then `order[k + 1]`, wrapping at the end, so a chase
+/// visits every slot. The order comes from Sattolo's algorithm with an
+/// xorshift generator, seeded by `slots`; Figure 1's bytes depend on
+/// these exact draws.
+///
+/// # Panics
+/// Panics if `slots` does not fit a `u32` slot index.
+pub(crate) fn ring_order(slots: u64) -> Vec<u32> {
+    assert!(
+        slots <= 1 << 32,
+        "ring of {slots} slots exceeds u32 indices"
+    );
+    let mut items: Vec<u32> = (0..slots).map(|s| s as u32).collect();
     let mut state = 0x9E3779B97F4A7C15u64 ^ slots;
     let mut rng = move || {
         state ^= state << 13;
@@ -134,19 +193,13 @@ fn permutation_ring(slots: u64) -> Vec<u64> {
         state ^= state << 17;
         state
     };
-    // Sattolo: single-cycle permutation.
-    let mut i = n;
+    let mut i = items.len();
     while i > 1 {
         i -= 1;
         let j = (rng() % i as u64) as usize;
         items.swap(i, j);
     }
-    // items is now a cyclic ordering; build successor table.
-    let mut next = vec![0u64; n];
-    for k in 0..n {
-        next[items[k] as usize] = items[(k + 1) % n];
-    }
-    next
+    items
 }
 
 #[cfg(test)]
@@ -156,6 +209,123 @@ mod tests {
 
     fn level_at(gpu: &GpuModel, footprint: u64) -> f64 {
         chase(gpu, footprint, 1 << 14)
+    }
+
+    /// The successor-table form of the ring: `next[s]` is the slot the
+    /// chase visits after `s`.
+    fn permutation_ring(slots: u64) -> Vec<u64> {
+        let n = slots as usize;
+        let mut items: Vec<u64> = (0..slots).collect();
+        let mut state = 0x9E3779B97F4A7C15u64 ^ slots;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Sattolo: single-cycle permutation.
+        let mut i = n;
+        while i > 1 {
+            i -= 1;
+            let j = (rng() % i as u64) as usize;
+            items.swap(i, j);
+        }
+        // items is now a cyclic ordering; build successor table.
+        let mut next = vec![0u64; n];
+        for k in 0..n {
+            next[items[k] as usize] = items[(k + 1) % n];
+        }
+        next
+    }
+
+    /// [`chase`] written as a walk of the successor table from slot 0.
+    fn chase_by_successors(gpu: &GpuModel, footprint_bytes: u64, steps: u64) -> f64 {
+        let line = gpu.partition.caches.first().map_or(64, |c| c.line_bytes) as u64;
+        let slots = (footprint_bytes / line).max(1);
+        let ring = permutation_ring(slots);
+        let mut h = Hierarchy::for_partition(&gpu.partition);
+        let outer_lines = gpu
+            .partition
+            .caches
+            .iter()
+            .map(|c| c.size_bytes / c.line_bytes as u64)
+            .max()
+            .unwrap_or(0);
+        let warmup = slots.min(outer_lines.saturating_mul(3).max(1 << 20));
+        let mut idx = 0u64;
+        for _ in 0..warmup {
+            let _ = h.access(ring[idx as usize] * line);
+            idx = ring[idx as usize];
+        }
+        let mut total = 0.0;
+        let mut idx = 0u64;
+        let measured = steps.min(slots.saturating_mul(4)).max(slots.min(steps));
+        for _ in 0..measured {
+            total += h.access(ring[idx as usize] * line);
+            idx = ring[idx as usize];
+        }
+        total / measured as f64
+    }
+
+    #[test]
+    fn flat_walk_equals_successor_walk_bit_for_bit() {
+        for gpu in [pvc_aurora_gpu(), pvc_dawn_gpu(), h100_gpu(), mi250_gpu()] {
+            let caches = &gpu.partition.caches;
+            let outer = caches.last().expect("a cache level").size_bytes;
+            // Inside each cache level, then beyond the outermost one; a
+            // short odd-sized chase inside L1 stops mid-ring.
+            let sizes = caches.iter().map(|c| c.size_bytes / 2);
+            let cases = sizes.chain([outer + outer / 2]).map(|fp| (fp, 1 << 12));
+            for (fp, steps) in cases.chain([(caches[0].size_bytes / 4 + 4160, 3)]) {
+                let flat = chase(&gpu, fp, steps);
+                let reference = chase_by_successors(&gpu, fp, steps);
+                assert_eq!(flat.to_bits(), reference.to_bits(), "{} fp={fp}", gpu.name);
+            }
+        }
+        // Degenerate rings: one and two slots.
+        let gpu = pvc_aurora_gpu();
+        for fp in [1, 64, 128] {
+            assert_eq!(
+                chase(&gpu, fp, 5).to_bits(),
+                chase_by_successors(&gpu, fp, 5).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "min_bytes")]
+    fn zero_min_bytes_is_rejected() {
+        footprints(&LatsConfig {
+            min_bytes: 0,
+            ..LatsConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "points_per_octave")]
+    fn zero_points_per_octave_is_rejected() {
+        footprints(&LatsConfig {
+            points_per_octave: 0,
+            ..LatsConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "steps")]
+    fn zero_steps_is_rejected() {
+        footprints(&LatsConfig {
+            steps: 0,
+            ..LatsConfig::default()
+        });
+    }
+
+    #[test]
+    fn footprints_grow_by_root_two_up_to_max() {
+        let fps = footprints(&LatsConfig::default());
+        assert_eq!(fps.len(), 32);
+        assert_eq!(fps[0], 16 * 1024);
+        assert_eq!(fps[2], 32 * 1024);
+        assert!(*fps.last().unwrap() <= 1 << 30);
     }
 
     #[test]

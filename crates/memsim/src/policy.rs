@@ -174,7 +174,9 @@ pub fn miss_curve(
 }
 
 /// Equivalence check used in tests: the policy cache at LRU must mirror
-/// the production [`CacheSim`] exactly.
+/// the production [`CacheSim`] exactly. [`PolicyCache`] keeps its own
+/// per-set order lists and fills invalid ways first, so it is an
+/// independent LRU oracle for `CacheSim`'s flat MRU-ordered sets.
 pub fn lru_matches_cachesim(size: u64, line: u32, assoc: u32, addrs: &[u64]) -> bool {
     let mut a = PolicyCache::new(size, line, assoc, Replacement::Lru);
     let mut b = CacheSim::new(size, line, assoc);
@@ -218,12 +220,26 @@ mod tests {
         }
     }
 
-    /// LRU equivalence on random traces.
+    /// LRU equivalence on random geometries and traces: reuse-heavy
+    /// streams inside a window no larger than the cache, and streams
+    /// over a window several times its capacity.
     #[test]
     fn prop_lru_equivalence() {
-        check("policy::prop_lru_equivalence", 32, |g| {
-            let addrs = g.vec_u64(1..500, 0..32768);
-            ensure!(lru_matches_cachesim(2048, 64, 4, &addrs));
+        check("policy::prop_lru_equivalence", 64, |g| {
+            let line = *g.choose(&[32u32, 64, 128]);
+            let assoc = g.u32_in(1..17);
+            let size = g.u64_in(1..1025) * assoc as u64 * line as u64;
+            let lines = CacheSim::new(size, line, assoc).capacity() / line as u64;
+            let window = if g.bool() {
+                g.u64_in(1..lines + 1)
+            } else {
+                lines * g.u64_in(2..6)
+            };
+            let addrs = g.vec_u64(1..4000, 0..window * line as u64);
+            ensure!(
+                lru_matches_cachesim(size, line, assoc, &addrs),
+                "size {size} line {line} assoc {assoc} window {window} lines"
+            );
             Ok(())
         });
     }

@@ -6,6 +6,7 @@
 //! pattern (single dependent chain, Sattolo ring).
 
 use pvc_arch::{GpuModel, System};
+use pvc_memsim::lats;
 use pvc_memsim::{latency_profile, LatencyPoint, LatsConfig};
 
 /// One architecture's Figure 1 series.
@@ -39,6 +40,11 @@ pub fn default_config() -> LatsConfig {
 pub fn run(system: System, cfg: &LatsConfig) -> LatsSeries {
     let gpu = gpu_for(system);
     let points = latency_profile(&gpu, cfg);
+    series(system, &gpu, points)
+}
+
+/// Wraps a swept curve with the system's legend label and plateaus.
+fn series(system: System, gpu: &GpuModel, points: Vec<LatencyPoint>) -> LatsSeries {
     let mut plateaus: Vec<f64> = gpu
         .partition
         .caches
@@ -53,11 +59,53 @@ pub fn run(system: System, cfg: &LatsConfig) -> LatsSeries {
     }
 }
 
-/// All four Figure 1 series (Aurora, Dawn, H100, MI250). Each system's
-/// sweep is independent, so they fan out over `pvc_core::par`;
-/// `map_collect` keeps the legend order (and so the CSV) unchanged.
+/// All four Figure 1 series (Aurora, Dawn, H100, MI250), equal to
+/// [`run`] on each system.
+///
+/// Every (hierarchy, footprint) chase is computed once — Aurora and Dawn
+/// share one hierarchy — and the chases fan out over `pvc_core::par`,
+/// largest footprint first so the longest jobs start earliest. Rows are
+/// reassembled in legend order with each system's own clock.
+///
+/// # Panics
+/// Panics on a degenerate `cfg` (see [`lats::footprints`]).
 pub fn figure1(cfg: &LatsConfig) -> Vec<LatsSeries> {
-    pvc_core::par::map_collect(System::ALL.len(), |i| run(System::ALL[i], cfg))
+    let footprints = lats::footprints(cfg);
+    let gpus: Vec<GpuModel> = System::ALL.iter().map(|&s| gpu_for(s)).collect();
+    // Each system reuses the chases of the first system sharing its hierarchy.
+    let owner: Vec<usize> = (0..gpus.len())
+        .map(|i| {
+            (0..i)
+                .find(|&j| lats::same_chase(&gpus[j], &gpus[i]))
+                .unwrap_or(i)
+        })
+        .collect();
+    let mut jobs: Vec<(usize, usize)> = (0..gpus.len())
+        .filter(|&i| owner[i] == i)
+        .flat_map(|i| (0..footprints.len()).map(move |k| (i, k)))
+        .collect();
+    jobs.sort_by_key(|&(_, k)| std::cmp::Reverse(footprints[k]));
+    let cycles = pvc_core::par::map_collect(jobs.len(), |j| {
+        let (i, k) = jobs[j];
+        lats::chase(&gpus[i], footprints[k], cfg.steps)
+    });
+    let mut owned = vec![vec![f64::NAN; footprints.len()]; gpus.len()];
+    for (&(i, k), c) in jobs.iter().zip(cycles) {
+        owned[i][k] = c;
+    }
+    System::ALL
+        .iter()
+        .zip(&gpus)
+        .zip(&owner)
+        .map(|((&system, gpu), &o)| {
+            let points = footprints
+                .iter()
+                .zip(&owned[o])
+                .map(|(&bytes, &cycles)| LatencyPoint::on(gpu, bytes, cycles))
+                .collect();
+            series(system, gpu, points)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -78,6 +126,22 @@ mod tests {
         let series = figure1(&quick_cfg());
         assert_eq!(series.len(), 4);
         assert!(series.iter().all(|s| !s.points.is_empty()));
+    }
+
+    #[test]
+    fn figure1_equals_per_system_sweeps() {
+        let cfg = LatsConfig {
+            min_bytes: 32 * 1024,
+            max_bytes: 64 << 20,
+            points_per_octave: 1,
+            steps: 1 << 12,
+        };
+        for (fig, system) in figure1(&cfg).iter().zip(System::ALL) {
+            let own = run(system, &cfg);
+            assert_eq!(fig.label, own.label);
+            assert_eq!(fig.points, own.points, "{}", own.label);
+            assert_eq!(fig.plateaus, own.plateaus);
+        }
     }
 
     #[test]

@@ -48,6 +48,8 @@ fn unknown_target_fails_with_guidance() {
     assert!(stderr.contains("table1..table6"));
 }
 
+/// `reproduce fig1` prints `figdata::figure1_csv(&LatsConfig::default())`;
+/// the golden file pins every byte of it.
 #[test]
 fn fig1_emits_csv() {
     let (stdout, _, ok) = reproduce(&["fig1"]);
@@ -55,6 +57,10 @@ fn fig1_emits_csv() {
     let header = stdout.lines().next().expect("has header");
     assert!(header.starts_with("footprint_bytes"));
     assert_eq!(header.split(',').count(), 5);
+    assert!(
+        stdout == include_str!("golden/figure1.csv"),
+        "Figure 1 CSV differs from tests/golden/figure1.csv:\n{stdout}"
+    );
 }
 
 #[test]
